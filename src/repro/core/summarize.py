@@ -128,9 +128,12 @@ class PatternSummarizer:
                 value = record.get(attribute)
                 if value is not None and _is_hashable(value):
                     singles.add((attribute, value))
-        candidates: list[tuple[tuple[str, object], ...]] = [(single,) for single in singles]
+        # Sorted, not set order: ties between equal-scoring patterns resolve
+        # by candidate order, which must not depend on the hash seed.
+        ordered = sorted(singles, key=repr)
+        candidates: list[tuple[tuple[str, object], ...]] = [(single,) for single in ordered]
         if self.max_conditions >= 2:
-            for first, second in combinations(sorted(singles, key=repr), 2):
+            for first, second in combinations(ordered, 2):
                 if first[0] != second[0]:
                     candidates.append((first, second))
         return candidates

@@ -2,7 +2,10 @@
 
 :class:`FleetRouter` speaks the exact JSON-over-HTTP protocol of the
 single-process daemon (``repro.service.api``), so :class:`ServiceClient`
-and every existing caller work unchanged against a fleet.  Behind the door:
+and every existing caller work unchanged against a fleet.  The front door
+*is* the daemon's request handler: :class:`RouterHTTPServer` supplies only
+the router's routes and metrics, so body decoding and the typed error
+envelopes cannot drift between the two.  Behind the door:
 
 * **Placement** -- requests route over a consistent-hash ring keyed by the
   fingerprint of their database pair (:mod:`repro.fleet.ring`), so all
@@ -35,22 +38,19 @@ and every existing caller work unchanged against a fleet.  Behind the door:
 from __future__ import annotations
 
 import threading
-import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.reliability.breaker import BreakerRegistry, CircuitOpenError
-from repro.runs.errors import RunError
+from repro.reliability.breaker import (
+    BreakerRegistry,
+    CircuitOpenError,
+    NoWorkerAvailable,
+)
 from repro.runs.spec import compile_runs_payload
-from repro.service.api import error_payload
+from repro.service.api import JSONHTTPServer, error_payload
 from repro.service.cache import fingerprint_of
 from repro.service.metrics import LatencyRecorder, merge_endpoint_snapshots
 from repro.fleet.ring import HashRing
 from repro.fleet.shared_cache import SharedCacheTier, aggregate_cache_stats
 from repro.fleet.worker import WorkerPool, WorkerUnavailable, http_json
-
-
-class NoWorkerAvailable(RuntimeError):
-    """Every eligible worker is dead or breaker-open for this request (503)."""
 
 
 class _Flight:
@@ -276,23 +276,22 @@ class FleetRouter:
             flight.done.set()
 
     # -- the routed API -----------------------------------------------------------------
-    def register_database(self, payload: dict) -> tuple[int, dict]:
-        """Broadcast a database registration to every live worker.
+    def _broadcast(self, path: str, payload: dict) -> tuple[int, dict]:
+        """POST ``payload`` to every live worker; all must agree on the fingerprint.
 
-        Every worker must know every database for failover re-hash to be
-        sound; the payload is also retained and replayed onto respawned
-        pods.  All live workers must agree on the content fingerprint --
-        a disagreement would mean divergent data and is a hard error.
+        Registrations and deltas both go to *every* pod: failover re-hash is
+        only sound if all workers hold the same database version.  The first
+        error a worker answers is relayed; a fingerprint disagreement means
+        divergent data (and, through the shared tier's content-addressed
+        tombstones, broken cache coherence) and is a hard error.
         """
-        name = str(payload.get("name", ""))
-        responses: dict[str, dict] = {}
-        status_out = 201
+        responses: dict[str, tuple[int, dict]] = {}
         for worker_name, worker in list(self.workers().items()):
             if worker.state == "dead" or worker.url is None:
                 continue
             try:
                 status, body = http_json(
-                    "POST", f"{worker.url}/databases", payload,
+                    "POST", f"{worker.url}{path}", payload,
                     timeout=self.forward_timeout,
                 )
             except WorkerUnavailable:
@@ -300,73 +299,52 @@ class FleetRouter:
                 continue
             if status >= 400:
                 return status, body
-            responses[worker_name] = body
+            responses[worker_name] = (status, body)
         if not responses:
-            raise NoWorkerAvailable("no live worker accepted the registration")
-        fingerprints = {body.get("fingerprint") for body in responses.values()}
+            raise NoWorkerAvailable(f"no live worker accepted POST {path}")
+        fingerprints = {body.get("fingerprint") for _, body in responses.values()}
         if len(fingerprints) != 1:
             return 500, error_payload(
                 "FleetConsistencyError",
-                f"workers disagree on the fingerprint of {name!r}: {fingerprints}",
+                f"workers disagree on the fingerprint after POST {path}: "
+                f"{fingerprints}",
             )
-        with self._lock:
-            self._registrations[name] = payload
-            # A (re)registration defines the database from scratch; earlier
-            # deltas are folded into history and must not replay on top.
-            self._ingests.pop(name, None)
-        body = next(iter(responses.values()))
+        status, body = next(iter(responses.values()))
         body["workers"] = sorted(responses)
-        return status_out, body
+        return status, body
+
+    def register_database(self, payload: dict) -> tuple[int, dict]:
+        """Broadcast a database registration; retained for respawned pods."""
+        status, body = self._broadcast("/databases", payload)
+        if status < 400:
+            name = str(payload.get("name", ""))
+            with self._lock:
+                self._registrations[name] = payload
+                # A (re)registration defines the database from scratch;
+                # earlier deltas are folded into history and must not replay.
+                self._ingests.pop(name, None)
+        return status, body
 
     def ingest(self, payload: dict) -> tuple[int, dict]:
         """Broadcast one delta batch to every live worker, coherently.
 
-        Deltas, like registrations, go to *every* pod: failover re-hash is
-        only sound if all workers hold the same database version.  The
-        delta id (client-supplied or derived by the API layer) keys the
+        The delta id (client-supplied or derived by the API layer) keys the
         single-flight latch, so a concurrent duplicate submission rides the
         in-flight broadcast instead of racing it; a later retry is absorbed
-        by each worker's idempotent delta log.  All live workers must agree
-        on the post-delta content fingerprint -- the shared disk tier's
-        tombstones are content-addressed, so divergence would corrupt the
-        fleet's cache coherence and is a hard error.
+        by each worker's idempotent delta log.  Applied deltas are logged for
+        replay onto respawned pods.
         """
         delta_id = str(payload.get("delta_id") or self.request_key(payload))
-        return self._single_flight(
-            f"ingest:{delta_id}", lambda: self._broadcast_ingest(payload)
-        )
 
-    def _broadcast_ingest(self, payload: dict) -> tuple[int, dict]:
-        database = str(payload.get("database", ""))
-        responses: dict[str, dict] = {}
-        for worker_name, worker in list(self.workers().items()):
-            if worker.state == "dead" or worker.url is None:
-                continue
-            try:
-                status, body = http_json(
-                    "POST", f"{worker.url}/ingest", payload,
-                    timeout=self.forward_timeout,
-                )
-            except WorkerUnavailable:
-                self._mark_dead(worker_name)
-                continue
-            if status >= 400:
-                return status, body
-            responses[worker_name] = body
-        if not responses:
-            raise NoWorkerAvailable("no live worker accepted the delta")
-        fingerprints = {body.get("fingerprint") for body in responses.values()}
-        if len(fingerprints) != 1:
-            return 500, error_payload(
-                "FleetConsistencyError",
-                f"workers disagree on the post-delta fingerprint of "
-                f"{database!r}: {fingerprints}",
-            )
-        with self._lock:
-            self._ingests.setdefault(database, []).append(payload)
-        body = next(iter(responses.values()))
-        body["workers"] = sorted(responses)
-        return 200, body
+        def _call():
+            status, body = self._broadcast("/ingest", payload)
+            if status < 400:
+                database = str(payload.get("database", ""))
+                with self._lock:
+                    self._ingests.setdefault(database, []).append(payload)
+            return status, body
+
+        return self._single_flight(f"ingest:{delta_id}", _call)
 
     def explain(self, payload: dict) -> tuple[int, dict]:
         """Route one explain: single-flight, placement by database pair, failover.
@@ -379,7 +357,7 @@ class FleetRouter:
         same fingerprints, so placement stays sticky and the owning worker's
         report cache stays warm.
         """
-        if isinstance(payload, dict) and "runs" in payload:
+        if "runs" in payload:
             compiled = compile_runs_payload(payload)
             for registration in compiled.registrations:
                 status, body = self.register_database(registration)
@@ -424,40 +402,29 @@ class FleetRouter:
             body["id"] = f"{worker}:{body['id']}"
         return status, body
 
-    def _job_ref(self, ref: str) -> tuple[str, str] | None:
-        worker, _, job_id = ref.partition(":")
-        if not job_id or worker not in self._workers:
-            return None
-        return worker, job_id
-
     def _job_call(self, method: str, ref: str) -> tuple[int, dict]:
-        parsed = self._job_ref(ref)
-        if parsed is None:
+        worker_name, _, job_id = ref.partition(":")
+        worker = self._workers.get(worker_name) if job_id else None
+        if worker is None:
             return 404, error_payload("UnknownJobError", f"unknown job {ref}")
-        worker_name, job_id = parsed
-        worker = self._workers[worker_name]
-        if worker.state == "dead" or worker.url is None:
-            # The owning pod died; its in-memory job state died with it.
-            # Clients re-submit: the idempotency key dedupes on the new pod.
-            return 404, error_payload(
-                "JobLostError",
-                f"worker {worker_name} holding job {job_id} is gone; "
-                "re-submit the request (idempotency keys make this safe)",
-            )
-        try:
-            status, body = http_json(
-                method, f"{worker.url}/jobs/{job_id}", timeout=self.forward_timeout
-            )
-        except WorkerUnavailable:
-            self._mark_dead(worker_name)
-            return 404, error_payload(
-                "JobLostError",
-                f"worker {worker_name} holding job {job_id} is gone; "
-                "re-submit the request (idempotency keys make this safe)",
-            )
-        if isinstance(body, dict) and "id" in body:
-            body["id"] = f"{worker_name}:{body['id']}"
-        return status, body
+        if worker.state != "dead" and worker.url is not None:
+            try:
+                status, body = http_json(
+                    method, f"{worker.url}/jobs/{job_id}", timeout=self.forward_timeout
+                )
+            except WorkerUnavailable:
+                self._mark_dead(worker_name)
+            else:
+                if isinstance(body, dict) and "id" in body:
+                    body["id"] = f"{worker_name}:{body['id']}"
+                return status, body
+        # The owning pod died; its in-memory job state died with it.
+        # Clients re-submit: the idempotency key dedupes on the new pod.
+        return 404, error_payload(
+            "JobLostError",
+            f"worker {worker_name} holding job {job_id} is gone; "
+            "re-submit the request (idempotency keys make this safe)",
+        )
 
     def job_status(self, ref: str) -> tuple[int, dict]:
         return self._job_call("GET", ref)
@@ -471,11 +438,9 @@ class FleetRouter:
         workers_payload: dict[str, dict] = {}
         worker_health: list[dict] = []
         for name, worker in self.workers().items():
-            entry = worker.describe() if hasattr(worker, "describe") else {
-                "name": name, "url": worker.url, "state": worker.state,
-            }
+            entry = worker.describe()
             if worker.state != "dead":
-                health = worker.probe() if hasattr(worker, "probe") else None
+                health = worker.probe()
                 if health is not None:
                     worker_health.append(health)
                     entry["health"] = {
@@ -542,123 +507,25 @@ class FleetRouter:
 # The router's HTTP front door
 # ---------------------------------------------------------------------------
 
-class RouterHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying the router (mirrors the worker protocol)."""
-
-    daemon_threads = True
+class RouterHTTPServer(JSONHTTPServer):
+    """The router's front door: the daemon's routes, answered by the router."""
 
     def __init__(self, address, router: FleetRouter):
-        super().__init__(address, _RouterRequestHandler)
+        super().__init__(address)
         self.router = router
-
-
-class _RouterRequestHandler(BaseHTTPRequestHandler):
-    server: RouterHTTPServer  # narrowed for type checkers
-
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass
-
-    def _send_json(self, payload: dict, status: int = 200) -> None:
-        import json
-
-        body = json.dumps(payload).encode()
-        self._last_status = status
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_json(self) -> dict:
-        import json
-
-        length = int(self.headers.get("Content-Length", 0))
-        raw = self.rfile.read(length) if length else b""
-        try:
-            return json.loads(raw) if raw else {}
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid JSON body: {exc}") from exc
-
-    def _endpoint(self, method: str) -> str:
-        path = self.path
-        if path.startswith("/jobs/"):
-            path = "/jobs/{id}"
-        elif path not in ("/health", "/stats", "/databases", "/explain",
-                          "/plan", "/analyze", "/jobs", "/ingest"):
-            path = "{unknown}"
-        return f"{method} {path}"
-
-    def _serve(self, method: str) -> None:
-        self._last_status = 200
-        start = time.perf_counter()
-        try:
-            self._route(method)
-        except NoWorkerAvailable as exc:
-            self._send_json(error_payload("NoWorkerAvailable", str(exc)), status=503)
-        except ValueError as exc:
-            kind = type(exc).__name__ if isinstance(exc, RunError) else "SpecError"
-            self._send_json(
-                error_payload(kind, str(exc), getattr(exc, "path", "")), status=400
-            )
-        except Exception as exc:  # noqa: BLE001 - surface as JSON, never a bare 500
-            self._send_json(error_payload(type(exc).__name__, str(exc)), status=500)
-        finally:
-            self.server.router.metrics.observe(
-                self._endpoint(method),
-                time.perf_counter() - start,
-                error=self._last_status >= 400,
-            )
-
-    def _route(self, method: str) -> None:
-        router = self.server.router
-        if method == "GET":
-            if self.path == "/health":
-                self._send_json(router.health())
-            elif self.path == "/stats":
-                self._send_json(router.stats())
-            elif self.path.startswith("/jobs/"):
-                status, body = router.job_status(self.path.removeprefix("/jobs/"))
-                self._send_json(body, status=status)
-            else:
-                self._send_json(
-                    error_payload("NotFound", f"unknown path {self.path}"), status=404
-                )
-        elif method == "POST":
-            routes = {
-                "/databases": router.register_database,
-                "/explain": router.explain,
-                "/plan": router.plan,
-                "/analyze": router.analyze,
-                "/ingest": router.ingest,
-                "/jobs": router.submit_job,
-            }
-            handler = routes.get(self.path)
-            if handler is None:
-                self._send_json(
-                    error_payload("NotFound", f"unknown path {self.path}"), status=404
-                )
-                return
-            status, body = handler(self._read_json())
-            self._send_json(body, status=status)
-        elif method == "DELETE":
-            if self.path.startswith("/jobs/"):
-                status, body = router.cancel_job(self.path.removeprefix("/jobs/"))
-                self._send_json(body, status=status)
-            else:
-                self._send_json(
-                    error_payload("NotFound", f"unknown path {self.path}"), status=404
-                )
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        self._serve("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        self._serve("POST")
-
-    def do_DELETE(self) -> None:  # noqa: N802 - stdlib naming
-        self._serve("DELETE")
+        self.metrics = router.metrics
+        self.routes = {
+            ("GET", "/health"): lambda: (200, router.health()),
+            ("GET", "/stats"): lambda: (200, router.stats()),
+            ("POST", "/databases"): router.register_database,
+            ("POST", "/explain"): router.explain,
+            ("POST", "/plan"): router.plan,
+            ("POST", "/analyze"): router.analyze,
+            ("POST", "/ingest"): router.ingest,
+            ("POST", "/jobs"): router.submit_job,
+            ("GET", "/jobs/{id}"): router.job_status,
+            ("DELETE", "/jobs/{id}"): router.cancel_job,
+        }
 
 
 def serve_router(

@@ -14,64 +14,29 @@ owns the lifecycle:
   handles by draining in-flight jobs and persisting its caches before
   exiting 0; SIGKILL is the escalation, never the opener.
 
-:func:`http_json` is the one transport primitive the fleet uses to talk to
-workers: it returns ``(status, payload)`` for any HTTP response the worker
-produced (typed errors included) and raises :class:`WorkerUnavailable` only
-for *transport* failures -- connection refused/reset, timeouts -- which is
-precisely the signal that triggers router failover.
+:func:`~repro.service.api.http_json` (re-exported here) is the one transport
+primitive the fleet uses to talk to workers -- the same exchange
+:class:`~repro.service.api.ServiceClient` is built on.  It returns
+``(status, payload)`` for any HTTP response the worker produced (typed errors
+included) and raises :class:`WorkerUnavailable` only for *transport* failures
+-- connection refused/reset, timeouts -- which is precisely the signal that
+triggers router failover.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
+
+from repro.service.api import WorkerUnavailable, http_json
 
 
 class WorkerError(RuntimeError):
     """A worker failed to start or misbehaved during lifecycle management."""
-
-
-class WorkerUnavailable(ConnectionError):
-    """A worker could not be reached at the transport level (failover signal)."""
-
-
-def http_json(
-    method: str, url: str, payload: dict | None = None, *, timeout: float = 30.0
-) -> tuple[int, dict]:
-    """One JSON-over-HTTP exchange: ``(status, body)`` or :class:`WorkerUnavailable`.
-
-    HTTP error *responses* (4xx/5xx with a JSON envelope) are returned, not
-    raised -- the worker is alive and answering, so the router must relay its
-    answer rather than fail over.  Only transport-level failures raise.
-    """
-    data = json.dumps(payload).encode() if payload is not None else None
-    request = urllib.request.Request(
-        url, data=data, method=method, headers={"Content-Type": "application/json"}
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return response.status, json.loads(response.read() or b"{}")
-    except urllib.error.HTTPError as exc:
-        body = exc.read()
-        try:
-            return exc.code, json.loads(body)
-        except json.JSONDecodeError:
-            return exc.code, {
-                "error": {
-                    "type": "OpaqueWorkerError",
-                    "message": body.decode(errors="replace"),
-                    "path": "",
-                }
-            }
-    except (urllib.error.URLError, ConnectionError, TimeoutError, OSError) as exc:
-        raise WorkerUnavailable(f"{method} {url}: {exc}") from exc
 
 
 @dataclass
@@ -107,21 +72,68 @@ class WorkerSpec:
         return args
 
 
-class WorkerProcess:
-    """One worker daemon process and its lifecycle state.
+class _WorkerHandle:
+    """Liveness probing and description shared by every worker handle.
 
     ``state`` is one of ``new`` (constructed), ``ready`` (probed healthy),
     ``dead`` (process gone or unreachable) or ``stopped`` (we shut it down).
     """
 
-    def __init__(self, name: str, spec: WorkerSpec | None = None):
+    process: subprocess.Popen | None = None
+
+    def __init__(self, name: str, url: str | None, state: str):
         self.name = name
-        self.spec = spec or WorkerSpec()
-        self.process: subprocess.Popen | None = None
-        self.url: str | None = None
-        self.state = "new"
+        self.url = url
+        self.state = state
         self.last_heartbeat: float | None = None
         self.consecutive_failures = 0
+
+    def probe(self, timeout: float = 3.0) -> dict | None:
+        """One ``GET /health`` readiness/heartbeat probe; None when unreachable."""
+        if self.url is None:
+            return None
+        try:
+            status, payload = http_json("GET", f"{self.url}/health", timeout=timeout)
+        except WorkerUnavailable:
+            return None
+        return payload if status == 200 else None
+
+    def heartbeat(self, timeout: float = 3.0) -> dict | None:
+        """Probe and record the outcome; flips state to ``dead`` on failure.
+
+        A handle that is no longer alive is dead at once; a live one that
+        misses two probes in a row is dead too.
+        """
+        health = self.probe(timeout) if self.alive else None
+        if health is None:
+            self.consecutive_failures += 1
+            if not self.alive or self.consecutive_failures >= 2:
+                self.state = "dead"
+            return None
+        self.consecutive_failures = 0
+        self.last_heartbeat = time.time()
+        if self.state != "stopped":
+            self.state = "ready"
+        return health
+
+    def describe(self) -> dict:
+        return {
+            "name": self.name,
+            "url": self.url,
+            "state": self.state,
+            "pid": self.process.pid if self.process is not None else None,
+            "alive": self.alive,
+            "last_heartbeat": self.last_heartbeat,
+            "consecutive_failures": self.consecutive_failures,
+        }
+
+
+class WorkerProcess(_WorkerHandle):
+    """One worker daemon process and its lifecycle state."""
+
+    def __init__(self, name: str, spec: WorkerSpec | None = None):
+        super().__init__(name, None, "new")
+        self.spec = spec or WorkerSpec()
 
     # -- spawn ------------------------------------------------------------------------
     def start(self) -> "WorkerProcess":
@@ -175,34 +187,6 @@ class WorkerProcess:
     def alive(self) -> bool:
         return self.process is not None and self.process.poll() is None
 
-    def probe(self, timeout: float = 3.0) -> dict | None:
-        """One ``GET /health`` readiness/heartbeat probe; None when unreachable."""
-        if self.url is None:
-            return None
-        try:
-            status, payload = http_json("GET", f"{self.url}/health", timeout=timeout)
-        except WorkerUnavailable:
-            return None
-        return payload if status == 200 else None
-
-    def heartbeat(self, timeout: float = 3.0) -> dict | None:
-        """Probe and record the outcome; flips state to ``dead`` on failure."""
-        if not self.alive:
-            self.state = "dead"
-            self.consecutive_failures += 1
-            return None
-        health = self.probe(timeout)
-        if health is None:
-            self.consecutive_failures += 1
-            if self.consecutive_failures >= 2:
-                self.state = "dead"
-            return None
-        self.consecutive_failures = 0
-        self.last_heartbeat = time.time()
-        if self.state not in ("stopped",):
-            self.state = "ready"
-        return health
-
     # -- shutdown ---------------------------------------------------------------------
     def terminate(self, timeout: float | None = None) -> int | None:
         """SIGTERM drain-then-exit; escalates to SIGKILL after the grace window."""
@@ -230,19 +214,8 @@ class WorkerProcess:
             self.process.stdout.close()
         self.state = "dead"
 
-    def describe(self) -> dict:
-        return {
-            "name": self.name,
-            "url": self.url,
-            "state": self.state,
-            "pid": self.process.pid if self.process is not None else None,
-            "alive": self.alive,
-            "last_heartbeat": self.last_heartbeat,
-            "consecutive_failures": self.consecutive_failures,
-        }
 
-
-class StaticWorker:
+class StaticWorker(_WorkerHandle):
     """A worker handle over an already-running daemon (no process ownership).
 
     Lets the router front servers it did not spawn: in-process
@@ -252,35 +225,11 @@ class StaticWorker:
     """
 
     def __init__(self, name: str, url: str):
-        self.name = name
-        self.url = url.rstrip("/")
-        self.state = "ready"
-        self.last_heartbeat: float | None = None
-        self.consecutive_failures = 0
+        super().__init__(name, url.rstrip("/"), "ready")
 
     @property
     def alive(self) -> bool:
         return self.state != "dead"
-
-    def probe(self, timeout: float = 3.0) -> dict | None:
-        try:
-            status, payload = http_json("GET", f"{self.url}/health", timeout=timeout)
-        except WorkerUnavailable:
-            return None
-        return payload if status == 200 else None
-
-    def heartbeat(self, timeout: float = 3.0) -> dict | None:
-        health = self.probe(timeout)
-        if health is None:
-            self.consecutive_failures += 1
-            if self.consecutive_failures >= 2:
-                self.state = "dead"
-            return None
-        self.consecutive_failures = 0
-        self.last_heartbeat = time.time()
-        if self.state != "stopped":
-            self.state = "ready"
-        return health
 
     def terminate(self, timeout: float | None = None) -> int | None:
         self.state = "stopped"
@@ -288,17 +237,6 @@ class StaticWorker:
 
     def kill(self) -> None:
         self.state = "dead"
-
-    def describe(self) -> dict:
-        return {
-            "name": self.name,
-            "url": self.url,
-            "state": self.state,
-            "pid": None,
-            "alive": self.alive,
-            "last_heartbeat": self.last_heartbeat,
-            "consecutive_failures": self.consecutive_failures,
-        }
 
 
 class WorkerPool:

@@ -195,7 +195,9 @@ def validate_change_specs(specs, path: str = "/changes") -> list[dict]:
 
     Shape errors raise :class:`DeltaError` with a JSON-pointer path.  Value
     errors (unknown columns, bad arity, missing rows) surface later, at apply
-    time, against the actual schema.
+    time, against the actual schema.  A normalized list validates to itself
+    unchanged: :func:`apply_changes` re-validates what the API layer already
+    normalized.
     """
     if not isinstance(specs, list) or not specs:
         raise DeltaError("'changes' must be a non-empty list", path)
@@ -225,7 +227,7 @@ def validate_change_specs(specs, path: str = "/changes") -> list[dict]:
             entry["record"] = record
         if op in ("update", "delete"):
             if "row_id" in spec:
-                entry["row"] = str(spec["row_id"])
+                entry["row_id"] = str(spec["row_id"])
             elif "row" in spec:
                 try:
                     entry["row"] = int(spec["row"])
@@ -252,9 +254,10 @@ def _apply_one(relation: Relation, spec: dict, path: str) -> Delta:
     try:
         if spec["op"] == "insert":
             return relation.insert(spec["record"])
+        row_ref = spec["row_id"] if "row_id" in spec else spec["row"]
         if spec["op"] == "update":
-            return relation.update(spec["row"], spec["record"])
-        return relation.delete(spec["row"])
+            return relation.update(row_ref, spec["record"])
+        return relation.delete(row_ref)
     except DeltaError as exc:
         raise DeltaError(str(exc), exc.path or path) from None
 

@@ -35,6 +35,10 @@ class CircuitOpenError(RuntimeError):
         self.retry_after = retry_after
 
 
+class NoWorkerAvailable(RuntimeError):
+    """Every eligible fleet worker is dead or breaker-open for a request (503)."""
+
+
 class CircuitBreaker:
     """One key's breaker (thread-safe)."""
 

@@ -75,10 +75,12 @@ Endpoints of the daemon (``python -m repro.service``):
 Every non-2xx response carries one uniform error envelope
 ``{"error": {"type", "message", "path"}}`` with a distinct status per typed
 error: 400 spec/SQL errors, 404 unknown database, 409 cancelled, 503 open
-circuit breaker, 504 deadline exceeded.  Unexpected failures are structured
-500s -- never a bare string.
+circuit breaker or no live fleet worker, 504 deadline exceeded.  Unexpected
+failures are structured 500s -- never a bare string.  The fleet router
+(:mod:`repro.fleet.router`) serves through the same handler and error table.
 
-:class:`ServiceClient` is a thin urllib-based helper mirroring the endpoints.
+:func:`http_json` is the one client-side exchange; :class:`ServiceClient`
+wraps it with one method per endpoint.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ from repro.relational.query import (
     projection_query,
     sum_query,
 )
-from repro.reliability.breaker import CircuitOpenError
+from repro.reliability.breaker import CircuitOpenError, NoWorkerAvailable
 from repro.reliability.deadline import DeadlineExceeded, OperationCancelled
 from repro.reliability.retry import RetryPolicy
 from repro.relational.errors import EmptyAggregateError, SchemaError
@@ -162,9 +164,10 @@ def error_payload(kind: str, message: str, path: str = "") -> dict:
     return {"error": {"type": kind, "message": message, "path": path}}
 
 
-#: Exception type -> HTTP status for the daemon's typed error responses.
-#: Anything not listed is an unexpected pipeline failure and maps to 500
-#: (still as a structured envelope, never a bare string).
+#: Exception type -> HTTP status for the typed error responses of both front
+#: doors (daemon and fleet router).  Anything not listed is an unexpected
+#: failure and maps to 500 (still as a structured envelope, never a bare
+#: string).
 _ERROR_STATUS = (
     (SpecError, 400),
     (RunError, 400),
@@ -176,6 +179,7 @@ _ERROR_STATUS = (
     (DeltaConflictError, 409),
     (OperationCancelled, 409),
     (CircuitOpenError, 503),
+    (NoWorkerAvailable, 503),
     (DeadlineExceeded, 504),
 )
 
@@ -662,13 +666,130 @@ def request_from_payload(payload: dict, *, database_resolver=None) -> ExplainReq
 
 
 # ---------------------------------------------------------------------------
-# The HTTP daemon
+# The HTTP layer: one handler, one error table, one client exchange
 # ---------------------------------------------------------------------------
 
-class ServiceHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that carries the service and its job queue."""
+def _error_response(exc: Exception) -> tuple[int, dict]:
+    """The ``(status, envelope)`` of an exception -- never a bare string.
+
+    :class:`SpecError` keeps its own payload (it carries the JSON-pointer path
+    and distinguishes SQL errors); everything else maps through
+    ``_ERROR_STATUS``, with unexpected exceptions reported as a structured 500.
+    """
+    if isinstance(exc, SpecError):
+        return 400, exc.to_payload()
+    for exc_type, status in _ERROR_STATUS:
+        if isinstance(exc, exc_type):
+            return status, error_payload(
+                type(exc).__name__, str(exc), getattr(exc, "path", "")
+            )
+    return 500, error_payload(type(exc).__name__, str(exc))
+
+
+def _decode_body(raw: bytes) -> dict:
+    if not raw:
+        raise SpecError("empty request body")
+    try:
+        payload = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"invalid JSON body: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise SpecError(
+            f"request body must be a JSON object, got {type(payload).__name__}"
+        )
+    return payload
+
+
+class JSONHTTPServer(ThreadingHTTPServer):
+    """A ThreadingHTTPServer that serves JSON through a route table.
+
+    ``routes`` maps ``(method, path)`` to a callable returning ``(status,
+    body)``.  A path ending in ``/{id}`` is a prefix route whose callable
+    receives the rest of the request path; POST routes receive the decoded
+    JSON object; other routes receive nothing.  Subclasses set ``routes`` and
+    a ``metrics`` :class:`LatencyRecorder`; request decoding, error envelopes
+    and endpoint metrics are the one handler's job.  Routes must not be bound
+    methods of the server itself: that reference cycle would keep a listening
+    socket that was never ``server_close()``d open until a cyclic collection.
+    """
 
     daemon_threads = True
+    routes: dict
+    metrics: LatencyRecorder
+
+    def __init__(self, address):
+        super().__init__(address, _ServiceRequestHandler)
+
+
+class _ServiceRequestHandler(BaseHTTPRequestHandler):
+    server: JSONHTTPServer  # narrowed for type checkers
+
+    protocol_version = "HTTP/1.1"
+    # Headers and body are separate writes: without TCP_NODELAY a kept-alive
+    # client waits out its delayed ACK (~40 ms) on every response.
+    disable_nagle_algorithm = True
+
+    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
+        pass  # keep test and daemon output clean
+
+    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
+        self._serve("GET")
+
+    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
+        self._serve("POST")
+
+    def do_DELETE(self) -> None:  # noqa: N802 - stdlib naming
+        self._serve("DELETE")
+
+    def _match(self, method: str):
+        """``(endpoint label, route, arguments)``; the route is None when unknown.
+
+        The label has bounded cardinality (``/jobs/{id}``, ``{unknown}``) so the
+        metrics recorder cannot be flooded with one series per path.
+        """
+        routes = self.server.routes
+        if (method, self.path) in routes:
+            return self.path, routes[(method, self.path)], ()
+        prefix, _, rest = self.path.rpartition("/")
+        label = f"{prefix}/{{id}}"
+        if prefix and (method, label) in routes:
+            return label, routes[(method, label)], (rest,)
+        return "{unknown}", None, ()
+
+    def _serve(self, method: str) -> None:
+        start = time.perf_counter()
+        label, route, args = self._match(method)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+            # Read the body even for unknown paths: a kept-alive connection
+            # must not leave it to be parsed as the next request.
+            raw = self.rfile.read(length) if length > 0 else b""
+            if route is None:
+                status, body = 404, error_payload("NotFound", f"unknown path {self.path}")
+            else:
+                if method == "POST":
+                    args = (_decode_body(raw),)
+                status, body = route(*args)
+        except Exception as exc:  # noqa: BLE001 - surface every error as JSON
+            status, body = _error_response(exc)
+        try:
+            self._send_json(body, status)
+        finally:
+            self.server.metrics.observe(
+                f"{method} {label}", time.perf_counter() - start, error=status >= 400
+            )
+
+    def _send_json(self, payload, status: int = 200) -> None:
+        body = json.dumps(payload).encode()
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
+class ServiceHTTPServer(JSONHTTPServer):
+    """The daemon: the JSON server over one service and its job queue."""
 
     def __init__(
         self,
@@ -678,215 +799,96 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         job_workers: int = 2,
         retry_policy: RetryPolicy | None = None,
     ):
-        super().__init__(address, _ServiceRequestHandler)
+        super().__init__(address)
         self.service = service
         self.jobs = JobQueue(
             service.explain, max_workers=job_workers, retry_policy=retry_policy
         )
         #: Per-endpoint request counts + latency quantiles (rides /health).
         self.metrics = LatencyRecorder()
+        self.routes = _daemon_routes(service, self.jobs, self.metrics)
 
 
-class _ServiceRequestHandler(BaseHTTPRequestHandler):
-    server: ServiceHTTPServer  # narrowed for type checkers
+def _daemon_routes(service: ExplainService, jobs: JobQueue, metrics) -> dict:
+    """The daemon's route table: closures over the service, jobs and metrics."""
 
-    protocol_version = "HTTP/1.1"
+    def health():
+        payload = service.health()
+        queue_stats = jobs.queue_stats()
+        payload["jobs"] = {
+            "queue_depth": queue_stats["states"].get("queued", 0),
+            "running": queue_stats["states"].get("running", 0),
+            **{
+                k: queue_stats[k]
+                for k in ("submitted", "completed", "failed", "cancelled", "deduplicated")
+            },
+        }
+        payload["endpoints"] = metrics.snapshot()
+        return 200, payload
 
-    # -- plumbing -----------------------------------------------------------------
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass  # keep test and daemon output clean
+    def register_database(spec):
+        db = database_from_spec(spec)
+        return 201, {"name": db.name, "fingerprint": service.register_database(db, db.name)}
 
-    def _send_json(self, payload: dict, status: int = 200) -> None:
-        body = json.dumps(payload).encode()
-        self._last_status = status
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    _KNOWN_PATHS = frozenset(
-        {"/health", "/stats", "/databases", "/explain", "/plan", "/analyze",
-         "/ingest", "/jobs"}
-    )
-
-    def _endpoint(self, method: str) -> str:
-        """A bounded-cardinality endpoint label for the metrics recorder."""
-        path = self.path
-        if path.startswith("/jobs/"):
-            path = "/jobs/{id}"
-        elif path not in self._KNOWN_PATHS:
-            path = "{unknown}"
-        return f"{method} {path}"
-
-    def _timed(self, method: str, route) -> None:
-        """Serve one request through ``route``, recording endpoint metrics."""
-        self._last_status = 200
-        start = time.perf_counter()
-        try:
-            route()
-        finally:
-            self.server.metrics.observe(
-                self._endpoint(method),
-                time.perf_counter() - start,
-                error=self._last_status >= 400,
-            )
-
-    def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            raise SpecError("empty request body")
-        try:
-            return json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"invalid JSON body: {exc}") from exc
-
-    def _send_error(self, exc: Exception) -> None:
-        """One typed JSON error envelope per exception -- never a bare 500.
-
-        :class:`SpecError` keeps its own payload (it carries the JSON-pointer
-        path and distinguishes SQL errors); everything else maps through
-        ``_ERROR_STATUS``, with unexpected exceptions reported as a
-        structured 500.
-        """
-        if isinstance(exc, SpecError):
-            self._send_json(exc.to_payload(), status=400)
-            return
-        for exc_type, status in _ERROR_STATUS:
-            if isinstance(exc, exc_type):
-                self._send_json(
-                    error_payload(
-                        type(exc).__name__, str(exc), getattr(exc, "path", "")
-                    ),
-                    status=status,
-                )
-                return
-        self._send_json(
-            error_payload(type(exc).__name__, str(exc)), status=500
-        )
-
-    # -- routes -------------------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        self._timed("GET", self._route_get)
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        self._timed("POST", self._route_post)
-
-    def do_DELETE(self) -> None:  # noqa: N802 - stdlib naming
-        self._timed("DELETE", self._route_delete)
-
-    def _route_get(self) -> None:
-        try:
-            if self.path == "/health":
-                payload = self.server.service.health()
-                queue_stats = self.server.jobs.queue_stats()
-                payload["jobs"] = {
-                    "queue_depth": queue_stats["states"].get("queued", 0),
-                    "running": queue_stats["states"].get("running", 0),
-                    **{
-                        k: queue_stats[k]
-                        for k in ("submitted", "completed", "failed",
-                                  "cancelled", "deduplicated")
-                    },
-                }
-                payload["endpoints"] = self.server.metrics.snapshot()
-                self._send_json(payload)
-            elif self.path == "/stats":
-                self._send_json(
-                    {"service": self.server.service.stats(), "jobs": self.server.jobs.queue_stats()}
-                )
-            elif self.path.startswith("/jobs/"):
-                self._get_job(self.path.removeprefix("/jobs/"))
-            else:
-                self._send_json(
-                    error_payload("NotFound", f"unknown path {self.path}"), status=404
-                )
-        except Exception as exc:  # noqa: BLE001 - surface errors as JSON
-            self._send_error(exc)
-
-    def _route_post(self) -> None:
-        try:
-            if self.path == "/databases":
-                spec = self._read_json()
-                db = database_from_spec(spec)
-                fingerprint = self.server.service.register_database(db, db.name)
-                self._send_json({"name": db.name, "fingerprint": fingerprint}, status=201)
-            elif self.path == "/explain":
-                payload = self._read_json()
-                if isinstance(payload, dict) and "runs" in payload:
-                    request = runs_request_from_payload(payload, self.server.service)
-                else:
-                    request = request_from_payload(
-                        payload, database_resolver=self.server.service.database
-                    )
-                result = self.server.service.explain(request)
-                self._send_json(result.to_dict())
-            elif self.path == "/plan":
-                name, query, run = plan_request_from_payload(
-                    self._read_json(), database_resolver=self.server.service.database
-                )
-                self._send_json(self.server.service.explain_plan(name, query, run=run))
-            elif self.path == "/analyze":
-                name, buckets = analyze_request_from_payload(self._read_json())
-                self._send_json(self.server.service.analyze(name, buckets=buckets))
-            elif self.path == "/ingest":
-                kwargs = ingest_request_from_payload(self._read_json())
-                self._send_json(self.server.service.ingest(**kwargs))
-            elif self.path == "/jobs":
-                payload = self._read_json()
-                request = request_from_payload(
-                    payload, database_resolver=self.server.service.database
-                )
-                # Single-flight: identical concurrent submissions (retries,
-                # duplicate clicks, router failover) coalesce onto one job.
-                job = self.server.jobs.submit(
-                    request, idempotency_key=fingerprint_of(payload)
-                )
-                self._send_json(job.status(), status=202)
-            else:
-                self._send_json(
-                    error_payload("NotFound", f"unknown path {self.path}"), status=404
-                )
-        except Exception as exc:  # noqa: BLE001 - surface pipeline errors as JSON
-            self._send_error(exc)
-
-    def _route_delete(self) -> None:
-        if not self.path.startswith("/jobs/"):
-            self._send_json(
-                error_payload("NotFound", f"unknown path {self.path}"), status=404
-            )
-            return
-        job_id = self.path.removeprefix("/jobs/")
-        job = self.server.jobs.get(job_id)
-        if job is None:
-            self._send_json(
-                error_payload("UnknownJobError", f"unknown job {job_id}"), status=404
-            )
-        elif self.server.jobs.cancel(job_id):
-            # Queued jobs are CANCELLED immediately; running jobs get a
-            # cooperative cancel request honoured at the next checkpoint.
-            self._send_json({"id": job_id, "state": job.state.value,
-                             "cancel_requested": job.cancel_requested})
+    def explain(payload):
+        if "runs" in payload:
+            request = runs_request_from_payload(payload, service)
         else:
-            self._send_json(
-                error_payload(
-                    "JobFinishedError", f"job {job_id} already finished"
-                ),
-                status=409,
-            )
+            request = request_from_payload(payload, database_resolver=service.database)
+        return 200, service.explain(request).to_dict()
 
-    def _get_job(self, job_id: str) -> None:
-        job = self.server.jobs.get(job_id)
+    def plan(payload):
+        name, query, run = plan_request_from_payload(
+            payload, database_resolver=service.database
+        )
+        return 200, service.explain_plan(name, query, run=run)
+
+    def analyze(payload):
+        name, buckets = analyze_request_from_payload(payload)
+        return 200, service.analyze(name, buckets=buckets)
+
+    def submit_job(payload):
+        request = request_from_payload(payload, database_resolver=service.database)
+        # Single-flight: identical concurrent submissions (retries, duplicate
+        # clicks, router failover) coalesce onto one job.
+        return 202, jobs.submit(request, idempotency_key=fingerprint_of(payload)).status()
+
+    def job_status(job_id):
+        job = jobs.get(job_id)
         if job is None:
-            self._send_json(
-                error_payload("UnknownJobError", f"unknown job {job_id}"), status=404
-            )
-            return
+            return 404, error_payload("UnknownJobError", f"unknown job {job_id}")
         payload = job.status()
         if job.state is JobState.DONE:
             payload["result"] = job.result.to_dict()
-        self._send_json(payload)
+        return 200, payload
+
+    def cancel_job(job_id):
+        job = jobs.get(job_id)
+        if job is None:
+            return 404, error_payload("UnknownJobError", f"unknown job {job_id}")
+        if not jobs.cancel(job_id):
+            return 409, error_payload("JobFinishedError", f"job {job_id} already finished")
+        # Queued jobs are CANCELLED immediately; running jobs get a
+        # cooperative cancel request honoured at the next checkpoint.
+        return 200, {"id": job_id, "state": job.state.value,
+                     "cancel_requested": job.cancel_requested}
+
+    return {
+        ("GET", "/health"): health,
+        ("GET", "/stats"): lambda: (
+            200, {"service": service.stats(), "jobs": jobs.queue_stats()}
+        ),
+        ("POST", "/databases"): register_database,
+        ("POST", "/explain"): explain,
+        ("POST", "/plan"): plan,
+        ("POST", "/analyze"): analyze,
+        ("POST", "/ingest"): lambda payload: (
+            200, service.ingest(**ingest_request_from_payload(payload))
+        ),
+        ("POST", "/jobs"): submit_job,
+        ("GET", "/jobs/{id}"): job_status,
+        ("DELETE", "/jobs/{id}"): cancel_job,
+    }
 
 
 def serve(
@@ -921,43 +923,68 @@ def serve_in_background(
 
 
 # ---------------------------------------------------------------------------
-# The thin client
+# The client side
 # ---------------------------------------------------------------------------
 
+class WorkerUnavailable(ConnectionError):
+    """A server could not be reached at the transport level (failover signal)."""
+
+
+def http_json(
+    method: str, url: str, payload: dict | None = None, *, timeout: float = 30.0
+) -> tuple[int, dict]:
+    """One JSON-over-HTTP exchange: ``(status, body)`` or :class:`WorkerUnavailable`.
+
+    HTTP error *responses* (4xx/5xx with a JSON envelope) are returned, not
+    raised -- the server is alive and answering, so a router must relay its
+    answer rather than fail over.  Only transport-level failures raise.
+    """
+    data = json.dumps(payload).encode() if payload is not None else None
+    request = urllib.request.Request(
+        url, data=data, method=method, headers={"Content-Type": "application/json"}
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            return response.status, json.loads(response.read() or b"{}")
+    except urllib.error.HTTPError as exc:
+        with exc:
+            body = exc.read()
+        try:
+            return exc.code, json.loads(body)
+        except json.JSONDecodeError:
+            return exc.code, error_payload(
+                "OpaqueWorkerError", body.decode(errors="replace")
+            )
+    except (urllib.error.URLError, ConnectionError, TimeoutError, OSError) as exc:
+        raise WorkerUnavailable(f"{method} {url}: {exc}") from exc
+
+
 class ServiceClient:
-    """A stdlib-only client for the explanation service daemon."""
+    """A stdlib-only client for the explanation service daemon (or fleet router).
+
+    Error responses raise :class:`ServiceClientError`; an unreachable server
+    raises :class:`WorkerUnavailable` (a ``ConnectionError``).
+    """
 
     def __init__(self, base_url: str, *, timeout: float = 30.0):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
 
     def _call(self, method: str, path: str, payload: dict | None = None) -> dict:
-        data = json.dumps(payload).encode() if payload is not None else None
-        request = urllib.request.Request(
-            f"{self.base_url}{path}",
-            data=data,
-            method=method,
-            headers={"Content-Type": "application/json"},
+        status, body = http_json(
+            method, f"{self.base_url}{path}", payload, timeout=self.timeout
         )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read())
-        except urllib.error.HTTPError as exc:
-            body = exc.read()
-            error_type, path = "", ""
-            try:
-                error = json.loads(body).get("error", body.decode(errors="replace"))
-                if isinstance(error, dict):
-                    detail = str(error.get("message", ""))
-                    error_type = str(error.get("type", ""))
-                    path = str(error.get("path", ""))
-                else:
-                    detail = str(error)
-            except (json.JSONDecodeError, AttributeError):
-                detail = body.decode(errors="replace")
-            raise ServiceClientError(
-                exc.code, detail, error_type=error_type, path=path
-            ) from None
+        if status < 400:
+            return body
+        error = body.get("error", body) if isinstance(body, dict) else body
+        if not isinstance(error, dict):
+            raise ServiceClientError(status, str(error))
+        raise ServiceClientError(
+            status,
+            str(error.get("message", "")),
+            error_type=str(error.get("type", "")),
+            path=str(error.get("path", "")),
+        )
 
     def health(self) -> dict:
         return self._call("GET", "/health")
@@ -1007,16 +1034,14 @@ class ServiceClient:
 
     def wait_for_job(self, job_id: str, *, timeout: float = 30.0, poll: float = 0.05) -> dict:
         """Poll a job until it reaches a terminal state; returns the final status."""
-        import time as _time
-
-        deadline = _time.monotonic() + timeout
+        deadline = time.monotonic() + timeout
         while True:
             status = self.job(job_id)
             if JobState(status["state"]).terminal:
                 return status
-            if _time.monotonic() > deadline:
+            if time.monotonic() > deadline:
                 raise TimeoutError(f"job {job_id} did not finish within {timeout}s")
-            _time.sleep(poll)
+            time.sleep(poll)
 
 
 class ServiceClientError(RuntimeError):
